@@ -25,7 +25,16 @@ from repro.obs.telemetry import Telemetry
 from repro.sim.simulator import Simulator
 from repro.sim.timers import Timer
 from repro.tcp.config import TCPConfig
-from repro.tcp.connection import LossTrigger, PathState, SegmentState, TCPConnection
+from repro.tcp.connection import (
+    CLOSE_WAIT,
+    CLOSED,
+    ESTABLISHED,
+    FIN_SENT,
+    LossTrigger,
+    PathState,
+    SegmentState,
+    TCPConnection,
+)
 from repro.tcp.options import negotiate_td_capable
 from repro.tcp.rack import default_reo_wnd_ns
 
@@ -90,6 +99,14 @@ class TDTCPConnection(TCPConnection):
         self._tp_tdn_switch = Telemetry.of(sim).tracepoint("tdtcp:tdn_switch")
         if subscribe_notifications:
             host.subscribe_tdn_changes(self._on_tdn_notification)
+
+    def release(self) -> None:
+        """Base teardown, plus the pace timer and the host's TDN
+        notification fan-out: a released connection is never switched
+        or paced again."""
+        super().release()
+        self._pace_timer.cancel()
+        self.host.unsubscribe_tdn_changes(self._on_tdn_notification)
 
     # ------------------------------------------------------------------
     # Path construction
@@ -208,8 +225,12 @@ class TDTCPConnection(TCPConnection):
             return
         if self._pace_timer.armed:
             return
-        if self.state in ("established", "close-wait"):
+        state = self.state
+        if state in (ESTABLISHED, CLOSE_WAIT):
             self._try_send_one()
+        elif state in (FIN_SENT, CLOSED):
+            # Neither state sends, paced or not: a tick would be a no-op.
+            return
         self._pace_timer.start(self._pace_interval_ns())
 
     def _on_pace_tick(self) -> None:

@@ -128,6 +128,13 @@ class MPTCPConnection:
         for subflow in self.subflows:
             subflow.connect()
 
+    def release(self) -> None:
+        """Tear down for good: release every subflow and leave the
+        host's TDN notification fan-out."""
+        for subflow in self.subflows:
+            subflow.release()
+        self.host.unsubscribe_tdn_changes(self._on_tdn_notification)
+
     def start_bulk(self) -> None:
         """Endless application stream (the paper's long-lived flow)."""
         self.send_buffer.unlimited = True

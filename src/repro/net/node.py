@@ -72,6 +72,14 @@ class Host:
         """Subscribe to ICMP TDN-change notifications delivered to this host."""
         self._tdn_listeners.append(callback)
 
+    def unsubscribe_tdn_changes(self, callback: Callable[[TDNNotification], None]) -> None:
+        """Remove a listener added by :meth:`subscribe_tdn_changes`
+        (idempotent: an absent listener is ignored)."""
+        try:
+            self._tdn_listeners.remove(callback)
+        except ValueError:
+            pass
+
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
@@ -134,5 +142,7 @@ class Host:
             )
 
     def _dispatch_notification(self, notification: TDNNotification) -> None:
-        for listener in self._tdn_listeners:
+        # A snapshot: a listener that unsubscribes (itself or another)
+        # during dispatch must not make the next listener get skipped.
+        for listener in tuple(self._tdn_listeners):
             listener(notification)

@@ -347,6 +347,18 @@ class TCPConnection:
         self.fin_pending = True
         self._maybe_send()
 
+    def release(self) -> None:
+        """Tear the endpoint down for good: free its demux slot and
+        cancel every timer it owns, so no later packet or event reaches
+        it. Idempotent. Subclasses that own more timers or subscribe to
+        host notifications extend this and undo those too."""
+        self.host.unregister_connection(self.flow_key)
+        self.rto_timer.cancel()
+        self.reorder_timer.cancel()
+        self.tlp_timer.cancel()
+        self._delack_pending = False
+        self.delack_timer.cancel()
+
     # ------------------------------------------------------------------
     # Application interface
     # ------------------------------------------------------------------

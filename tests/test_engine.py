@@ -20,6 +20,7 @@ from repro.apps.engine import (
     strip_wall_fields,
     write_trace,
 )
+from repro.core.tdtcp import TDTCPConnection
 from repro.experiments.config import (
     CONFIG_SCHEMA_VERSION,
     ExperimentConfig,
@@ -29,8 +30,13 @@ from repro.experiments.executor import ExperimentExecutor
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.sweeps import load_sweep
 from repro.obs.campaign import CampaignLog, campaign_summary
+from repro.obs.telemetry import ObsConfig, Telemetry
 from repro.rdcn.opera import OperaConfig
+from repro.rdcn.topology import build_two_rack_testbed
 from repro.sim.rng import SeededRandom
+from repro.sim.simulator import Simulator
+
+from tests.helpers import small_rdcn
 
 # A degenerate single-size CDF keeps engine tests fast (10 KB flows
 # drain in ~100 us) and makes the offered-load arithmetic exact.
@@ -333,6 +339,74 @@ class TestEngineOnOpera:
         assert stats.started == 40
         assert stats.completed > 20
         assert engine.n_racks == 4
+
+
+class TestConnectionRelease:
+    """Trace replay on TDTCP: a finished flow's connections leave the
+    host's TDN fan-out, stop pacing and are never switched again."""
+
+    def replay(self, monkeypatch):
+        sim = Simulator()
+        telemetry = Telemetry(ObsConfig()).attach(sim)
+        switches = []
+        telemetry.subscribe(
+            "tdtcp:tdn_switch", lambda ts, _name, fields: switches.append((ts, fields["conn"]))
+        )
+        testbed = build_two_rack_testbed(small_rdcn(n_hosts=2), sim=sim)
+        trace = [
+            TraceFlow(start_ns=i * 150_000, src=f"r{i % 2}h{i // 2 % 2}",
+                      dst=f"r{1 - i % 2}h{i // 4 % 2}", size_bytes=12_000)
+            for i in range(16)
+        ]
+        engine = WorkloadEngine(
+            testbed, SeededRandom(4), trace=trace, connection_cls=TDTCPConnection
+        )
+        released = {}
+        cleanup = engine._cleanup
+
+        def recording_cleanup(client, server):
+            cleanup(client, server)
+            for conn in (client, server):
+                released[conn] = sim.now
+
+        monkeypatch.setattr(engine, "_cleanup", recording_cleanup)
+        testbed.start()
+        engine.start()
+        return testbed, engine, released, switches
+
+    @staticmethod
+    def hosts(testbed):
+        return [host for rack in testbed.hosts.values() for host in rack]
+
+    def assert_fanout_holds_only_live(self, testbed):
+        for host in self.hosts(testbed):
+            live = [conn._on_tdn_notification for conn in host._connections.values()]
+            assert host._tdn_listeners == [testbed.notifier._record_latency] + live
+
+    def test_listeners_hold_only_unreleased_connections(self, monkeypatch):
+        testbed, engine, released, _switches = self.replay(monkeypatch)
+        for horizon in range(500_000, 4_000_001, 500_000):
+            testbed.sim.run(until=horizon)
+            self.assert_fanout_holds_only_live(testbed)
+        assert engine.finish().completed == 16
+        assert len(released) == 32
+        for host in self.hosts(testbed):
+            assert host._tdn_listeners == [testbed.notifier._record_latency]
+
+    def test_released_connections_are_never_switched_or_paced(self, monkeypatch):
+        testbed, _engine, released, switches = self.replay(monkeypatch)
+        testbed.sim.run(until=4_000_000)
+        assert released
+        by_name = {conn.name: at for conn, at in released.items()}
+        assert any(name in by_name for _ts, name in switches)  # switching is live
+        assert not [
+            (ts, name) for ts, name in switches if name in by_name and ts >= by_name[name]
+        ]
+        for conn in released:
+            assert not conn._pace_timer.armed
+            for timer in (conn.rto_timer, conn.reorder_timer, conn.tlp_timer,
+                          conn.delack_timer):
+                assert not timer.armed
 
 
 class TestExecutorDeterminism:

@@ -204,6 +204,19 @@ class TestNotificationIntegration:
         sim.run(until=msec(1) + usec(10))
         assert client.scheduler.active_tdn == 1
 
+    def test_release_leaves_fanout_and_demux(self):
+        sim, a, b, _ab, _ba = two_hosts()
+        client, _server = create_mptcp_pair(sim, a, b, subscribe_notifications=True)
+        client.write(30_000)
+        sim.run(until=msec(1))
+        client.release()
+        assert client._on_tdn_notification not in a._tdn_listeners
+        assert not [sf for sf in client.subflows if sf.flow_key in a._connections]
+        assert not [sf for sf in client.subflows if sf.rto_timer.armed]
+        a.deliver(TDNNotification("tor", a.address, tdn_id=1))
+        sim.run(until=msec(1) + usec(10))
+        assert client.scheduler.active_tdn == 0
+
     def test_snapshot(self):
         sim, a, b, _ab, _ba = two_hosts()
         client, _server = mptcp_pair(sim, a, b)

@@ -235,6 +235,37 @@ class TestHost:
         sim.run()
         assert seen == [1, 10]
 
+    def test_unsubscribe_stops_delivery(self):
+        sim = Simulator()
+        host = Host(sim, "r0h0")
+        seen = []
+        first = lambda n: seen.append(("first", n.tdn_id))
+        second = lambda n: seen.append(("second", n.tdn_id))
+        host.subscribe_tdn_changes(first)
+        host.subscribe_tdn_changes(second)
+        host.unsubscribe_tdn_changes(first)
+        host.unsubscribe_tdn_changes(first)  # idempotent
+        host.deliver(TDNNotification("tor", "r0h0", tdn_id=1))
+        assert seen == [("second", 1)]
+        assert host._tdn_listeners == [second]
+
+    def test_unsubscribe_during_dispatch_skips_no_listener(self):
+        # A listener that removes itself mid-dispatch must not shift the
+        # next listener out of this round.
+        sim = Simulator()
+        host = Host(sim, "r0h0")
+        seen = []
+
+        def once(n):
+            seen.append("once")
+            host.unsubscribe_tdn_changes(once)
+
+        host.subscribe_tdn_changes(once)
+        host.subscribe_tdn_changes(lambda n: seen.append("next"))
+        host.deliver(TDNNotification("tor", "r0h0", tdn_id=1))
+        host.deliver(TDNNotification("tor", "r0h0", tdn_id=0))
+        assert seen == ["once", "next", "next"]
+
     def test_notification_processing_delay(self):
         sim = Simulator()
         host = Host(sim, "r0h0")
